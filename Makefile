@@ -1,10 +1,11 @@
-# Tier-1 gate: everything a PR must keep green. The chaos soak and other
-# long tests hide behind -short here; `make soak` runs them in full.
+# Tier-1 gate: everything a PR must keep green. The full test suite runs
+# once without the race detector; the race run hides the chaos soak and
+# other long tests behind -short, and `make soak` runs them raced in full.
 GO ?= go
 
 .PHONY: tier1 build vet test race race-core bench-scale bench-telemetry bench-json trace-demo fleet-smoke fleet-demo metrics-smoke lifetime-smoke soak soak-short figures demo clean
 
-tier1: build vet race race-core fleet-smoke metrics-smoke lifetime-smoke soak-short
+tier1: build vet test race race-core fleet-smoke metrics-smoke lifetime-smoke soak-short
 
 build:
 	$(GO) build ./...

@@ -56,7 +56,7 @@ func main() {
 	width := flag.Int("width", 32, "device dispatch width shared by all tenant queues (multi-tenant mode)")
 	ageSpec := flag.String("age", "", "lifetime fast-forward applied after prefill: years ('3y'), months ('18mo'), or a duration; deterministically ages wear, retention, and bad blocks from -seed")
 	refresh := flag.Bool("refresh", false, "retention-aware background scrubber: rewrite blocks before the ECC cliff, yielding to host traffic")
-	wearlevel := flag.Bool("wearlevel", false, "cross-block static wear leveling (implies wear-aware allocation)")
+	wearlevel := flag.Bool("wearlevel", false, "wear leveling: least-worn block allocation plus cold-data migration")
 	wafOut := flag.String("waf-out", "", "write the per-cause write-amplification ledger and erase-count quantiles to this JSON file after the run")
 	powercut := flag.String("powercut", "", "crash test: cut power mid-run at a simulated duration into the run (e.g. 5ms) or at a seed-derived 'random' point, then recover by remounting")
 	ckptInterval := flag.Duration("ckpt-interval", 0, "recovery checkpoint cadence in simulated time (0 = 20ms default, negative disables periodic checkpoints; effective with -powercut)")

@@ -34,6 +34,7 @@ import (
 	"cubeftl/internal/recovery"
 	"cubeftl/internal/sim"
 	"cubeftl/internal/ssd"
+	"cubeftl/internal/stack"
 	"cubeftl/internal/telemetry"
 	"cubeftl/internal/vth"
 	"cubeftl/internal/workload"
@@ -52,19 +53,13 @@ const (
 // paper's configuration scaled to a small device; call DefaultOptions
 // for the full 32 GB evaluation target.
 type Options struct {
-	FTL string // one of FTLPage, FTLVert, FTLCube, FTLCubeMinus
+	FTL string // one of FTLPage, FTLVert, FTLIsp, FTLCube, FTLCubeMinus
 
 	Channels       int // independent data buses; default 2
 	DiesPerChannel int // NAND dies behind each channel; default 4
 	BlocksPerChip  int // default 64 (paper's chips have 428)
 	PlanesPerChip  int // default 1 (the paper's model); 2+ overlaps ops within a die
 	Seed           uint64
-
-	// Buses/ChipsPerBus are the pre-topology names for
-	// Channels/DiesPerChannel; they apply only when the new fields are
-	// zero. Deprecated: set Channels and DiesPerChannel.
-	Buses       int
-	ChipsPerBus int
 
 	// DieAffinity makes the multi-queue host front end prefer fetching
 	// commands whose target die is idle (reads to busy dies wait while
@@ -80,18 +75,15 @@ type Options struct {
 	// SuspendOps enables program/erase suspend-resume so reads
 	// interleave with long chip operations (§8 extension).
 	SuspendOps bool
-	// WearAware spreads P/E cycles by allocating the least-worn erased
-	// block (static wear leveling).
-	WearAware bool
 	// Refresh enables the retention-aware background scrubber: blocks
 	// whose retention age or predicted E<->P1 error rate crosses the
 	// refresh policy's thresholds are rewritten before the ECC cliff.
 	// The patrol is funded by host reads so it yields to tenant traffic.
 	Refresh bool
-	// WearLevel enables cross-block static wear leveling: after a GC
-	// cycle completes, cold data is moved off the die's least-worn block
-	// when the erase-count spread exceeds the wear policy's threshold.
-	// Implies WearAware allocation.
+	// WearLevel enables static wear leveling: erased blocks are
+	// allocated least-worn first, and after a GC cycle completes, cold
+	// data is moved off the die's least-worn block when the erase-count
+	// spread exceeds the wear policy's threshold.
 	WearLevel bool
 	// VerifyData turns on the end-to-end integrity oracle: tagged
 	// payloads flow through flush, GC, and read-back verification, and
@@ -156,15 +148,16 @@ type SSD struct {
 	hub         *telemetry.Hub     // nil until EnableTelemetry
 	sampler     *telemetry.Sampler // nil until StartStats
 
-	// Crash-consistency state (Options.Recovery). opts and ctrlCfg are
-	// retained so Remount can rebuild the volatile half of the device;
-	// outstanding counts facade-issued host ops not yet completed (Run's
-	// stop condition — the manager's checkpoint timer keeps the event
-	// queue non-empty forever, so Run cannot wait for queue drain).
-	mgr         *recovery.Manager
-	opts        Options
-	ctrlCfg     ftl.ControllerConfig
-	outstanding int
+	// Crash-consistency state (Options.Recovery). spec and ckptInterval
+	// are retained so Remount can rebuild the volatile half of the
+	// device; outstanding counts facade-issued host ops not yet
+	// completed (Run's stop condition — the manager's checkpoint timer
+	// keeps the event queue non-empty forever, so Run cannot wait for
+	// queue drain).
+	mgr          *recovery.Manager
+	spec         stack.Spec
+	ckptInterval time.Duration
+	outstanding  int
 
 	// ager applies lifetime fast-forwards (lazily built by Age so
 	// devices that never age pay nothing and replay bit-identically).
@@ -173,75 +166,19 @@ type SSD struct {
 
 // New builds a simulated SSD.
 func New(opts Options) (*SSD, error) {
-	if opts.Channels <= 0 {
-		opts.Channels = opts.Buses // deprecated alias
-	}
-	if opts.Channels <= 0 {
-		opts.Channels = 2
-	}
-	if opts.DiesPerChannel <= 0 {
-		opts.DiesPerChannel = opts.ChipsPerBus // deprecated alias
-	}
-	if opts.DiesPerChannel <= 0 {
-		opts.DiesPerChannel = 4
-	}
-	if opts.BlocksPerChip <= 0 {
-		opts.BlocksPerChip = 64
-	}
-	if opts.FTL == "" {
-		opts.FTL = FTLCube
-	}
-	rs, err := core.RetrySetupFor(opts.RetryMode)
+	sp := opts.spec()
+	st, err := stack.Build(sp)
 	if err != nil {
 		return nil, err
 	}
-	eng := sim.NewEngine()
-	devCfg := ssd.DefaultConfig()
-	devCfg.Channels = opts.Channels
-	devCfg.DiesPerChannel = opts.DiesPerChannel
-	devCfg.Chip.Process.BlocksPerChip = opts.BlocksPerChip
-	devCfg.Seed = opts.Seed
-	devCfg.SuspendOps = opts.SuspendOps
-	devCfg.PlanesPerChip = opts.PlanesPerChip
-	devCfg.Chip.StoreData = opts.VerifyData
-	devCfg.Chip.DecodeLatencyNs = rs.DecodeNs
-	dev := ssd.New(eng, devCfg)
-	faults := nand.FaultConfig{
-		ProgramFailRate: opts.ProgramFailRate,
-		EraseFailRate:   opts.EraseFailRate,
-		ReadFaultRate:   opts.ReadFaultRate,
-		FactoryBadRate:  opts.FactoryBadRate,
-	}
-	if faults.Enabled() {
-		dev.SetFaults(faults)
-	}
-	if opts.PECycles > 0 || opts.RetentionMonths > 0 {
-		dev.PreAge(opts.PECycles, opts.RetentionMonths)
-		dev.SetReadJitterProb(0.5)
-	}
-
-	pol, cube, err := newPolicy(opts, dev)
-	if err != nil {
-		return nil, err
-	}
-	ctrlCfg := ftl.DefaultControllerConfig()
-	if opts.WriteBufferPages > 0 {
-		ctrlCfg.WriteBufferPages = opts.WriteBufferPages
-	}
-	ctrlCfg.WearAware = opts.WearAware || opts.WearLevel
-	ctrlCfg.Refresh = opts.Refresh
-	ctrlCfg.WearLevel = opts.WearLevel
-	ctrlCfg.VerifyData = opts.VerifyData
-	ctrlCfg.DurableAcks = opts.Recovery
-	ctrlCfg.RetryMode = rs.Mode
 	s := &SSD{
-		eng:         eng,
-		dev:         dev,
-		ctrl:        ftl.NewController(dev, pol, ctrlCfg),
-		cube:        cube,
-		dieAffinity: opts.DieAffinity,
-		opts:        opts,
-		ctrlCfg:     ctrlCfg,
+		eng:          st.Eng,
+		dev:          st.Dev,
+		ctrl:         st.Ctrl,
+		cube:         st.Cube,
+		dieAffinity:  opts.DieAffinity,
+		spec:         sp,
+		ckptInterval: opts.CkptInterval,
 	}
 	if opts.Recovery {
 		s.mgr = recovery.Attach(s.ctrl, recovery.NewSystemArea(), recovery.Options{
@@ -252,47 +189,36 @@ func New(opts Options) (*SSD, error) {
 	return s, nil
 }
 
-// newPolicy builds the FTL policy named by opts.FTL against dev (cube
-// is non-nil for the cube flavors), applying the retry-mode setup and
-// age bucket the options imply. Shared by New and Remount: a recovery
-// mount needs a fresh policy instance whose learned state is then
-// restored from the checkpoint — including the retry table, whose
-// configuration must therefore be rebuilt identically here.
-func newPolicy(opts Options, dev *ssd.Device) (ftl.Policy, *core.CubeFTL, error) {
-	switch opts.FTL {
-	case FTLPage:
-		return ftl.NewPagePolicy(), nil, nil
-	case FTLVert:
-		return ftl.NewVertPolicy(), nil, nil
-	case FTLIsp:
-		return ftl.NewIspPolicy(func(chip, block int) int {
-			return dev.Chip(chip).NAND.PECycles(block)
-		}), nil, nil
-	case FTLCube, FTLCubeMinus:
-		var cube *core.CubeFTL
-		if opts.FTL == FTLCubeMinus {
-			cube = core.NewMinus(dev.Geometry())
-		} else {
-			cube = core.New(dev.Geometry())
-		}
-		rs, err := core.RetrySetupFor(opts.RetryMode)
-		if err != nil {
-			return nil, nil, err
-		}
-		cube.ApplyRetrySetup(rs)
-		cube.SetAgeBucket(core.AgeBucketFor(opts.RetentionMonths))
-		// Key the retry table by each block's own retention age rather
-		// than the device-wide bucket. On a fresh or uniformly pre-aged
-		// device EffectiveRetentionMonths equals the device-wide setting,
-		// so this resolves to the same bucket as SetAgeBucket — replays
-		// stay bit-identical — but once Age fast-forwards individual
-		// blocks across bucket boundaries the key moves with the block.
-		cube.SetAgeBucketFn(func(chip, block int) int {
-			return core.AgeBucketFor(dev.Chip(chip).NAND.EffectiveRetentionMonths(block))
-		})
-		return cube, cube, nil
+// spec maps the options onto the stack builder, filling the facade's
+// defaults (a 64-block-per-die device running cubeFTL).
+func (o Options) spec() stack.Spec {
+	blocks := o.BlocksPerChip
+	if blocks <= 0 {
+		blocks = 64
 	}
-	return nil, nil, fmt.Errorf("cubeftl: unknown FTL %q", opts.FTL)
+	return stack.Spec{
+		Flavor:         o.FTL,
+		Channels:       o.Channels,
+		DiesPerChannel: o.DiesPerChannel,
+		BlocksPerChip:  blocks,
+		PlanesPerChip:  o.PlanesPerChip,
+		Seed:           o.Seed,
+		SuspendOps:     o.SuspendOps,
+		VerifyData:     o.VerifyData,
+		Faults: nand.FaultConfig{
+			ProgramFailRate: o.ProgramFailRate,
+			EraseFailRate:   o.EraseFailRate,
+			ReadFaultRate:   o.ReadFaultRate,
+			FactoryBadRate:  o.FactoryBadRate,
+		},
+		PECycles:         o.PECycles,
+		RetentionMonths:  o.RetentionMonths,
+		RetryMode:        o.RetryMode,
+		WriteBufferPages: o.WriteBufferPages,
+		Refresh:          o.Refresh,
+		WearLevel:        o.WearLevel,
+		DurableAcks:      o.Recovery,
+	}
 }
 
 // Channels returns the device's channel (bus) count.

@@ -3,11 +3,8 @@ package experiment
 import (
 	"fmt"
 
-	"cubeftl/internal/core"
-	"cubeftl/internal/ftl"
 	"cubeftl/internal/metrics"
-	"cubeftl/internal/sim"
-	"cubeftl/internal/ssd"
+	"cubeftl/internal/stack"
 	"cubeftl/internal/workload"
 )
 
@@ -27,19 +24,6 @@ const (
 
 // EvalPolicies is Fig 17's lineup; Fig 18 adds cubeFTL-.
 var EvalPolicies = []PolicyKind{PolicyPage, PolicyVert, PolicyCube}
-
-func makePolicy(kind PolicyKind, geo ssd.Geometry) ftl.Policy {
-	switch kind {
-	case PolicyVert:
-		return ftl.NewVertPolicy()
-	case PolicyCube:
-		return core.New(geo)
-	case PolicyCubeMinus:
-		return core.NewMinus(geo)
-	default:
-		return ftl.NewPagePolicy()
-	}
-}
 
 // SSDOpts shapes an SSD evaluation run. The evaluation uses a scaled-
 // down device (fewer blocks per chip) for tractable runtimes, the same
@@ -100,7 +84,10 @@ type RunOutcome struct {
 	BufferHits    int64
 	Uncorrectable int64
 	// Fault-handling counters (non-zero only under fault injection).
-	Faults *metrics.CounterSet
+	ProgramFailures int64
+	EraseFailures   int64
+	RetiredBlocks   int64
+	FaultRecoveries int64
 	// Degraded reports whether the device ended the run read-only.
 	Degraded bool
 }
@@ -108,79 +95,62 @@ type RunOutcome struct {
 // IOPS is the outcome's throughput.
 func (o RunOutcome) IOPS() float64 { return o.Result.IOPS() }
 
+// spec describes the evaluation device under the given policy.
+func (o SSDOpts) spec(kind PolicyKind) stack.Spec {
+	return stack.Spec{
+		Flavor:           string(kind),
+		Channels:         o.Channels,
+		DiesPerChannel:   o.DiesPerChannel,
+		BlocksPerChip:    o.BlocksPerChip,
+		PlanesPerChip:    o.PlanesPerChip,
+		Seed:             o.Seed,
+		SuspendOps:       o.SuspendOps,
+		PECycles:         o.PE,
+		RetentionMonths:  o.RetentionMonths,
+		RetryMode:        o.RetryMode,
+		WriteBufferPages: o.BufferPages,
+	}
+}
+
 // RunWorkload builds a fresh SSD, pre-ages it, prefils the workload's
 // footprint, then measures the workload under the policy.
 func RunWorkload(kind PolicyKind, prof workload.Profile, opts SSDOpts) RunOutcome {
-	out := RunCustom(func(dev *ssd.Device) ftl.Policy {
-		if kind == PolicyIsp {
-			return ftl.NewIspPolicy(func(chip, block int) int {
-				return dev.Chip(chip).NAND.PECycles(block)
-			})
-		}
-		return makePolicy(kind, dev.Geometry())
-	}, prof, opts, nil)
+	out := RunCustom(opts.spec(kind), prof, opts)
 	out.Policy = kind
 	return out
 }
 
-// RunCustom is RunWorkload with an arbitrary policy factory and an
-// optional device tweak applied before the run (used by the ablation
-// and related-work studies).
-func RunCustom(factory func(*ssd.Device) ftl.Policy, prof workload.Profile, opts SSDOpts, tweak func(*ssd.Device)) RunOutcome {
-	rs, err := core.RetrySetupFor(opts.RetryMode)
+// RunCustom is RunWorkload on the device sp describes (the ablation and
+// fault studies set its Cube, DisturbProb or Faults); opts supplies the
+// request count and queue depth.
+func RunCustom(sp stack.Spec, prof workload.Profile, opts SSDOpts) RunOutcome {
+	s, err := stack.Build(sp)
 	if err != nil {
-		panic(err) // experiment drivers hard-code the mode names
+		panic(err) // experiment drivers hard-code the flavor and mode names
 	}
-	eng := sim.NewEngine()
-	devCfg := ssd.DefaultConfig()
-	devCfg.Chip.Process.BlocksPerChip = opts.BlocksPerChip
-	devCfg.Seed = opts.Seed
-	devCfg.SuspendOps = opts.SuspendOps
-	devCfg.PlanesPerChip = opts.PlanesPerChip
-	devCfg.Chip.DecodeLatencyNs = rs.DecodeNs
-	if opts.Channels > 0 {
-		devCfg.Channels = opts.Channels
-	}
-	if opts.DiesPerChannel > 0 {
-		devCfg.DiesPerChannel = opts.DiesPerChannel
-	}
-	dev := ssd.New(eng, devCfg)
-	if opts.PE > 0 || opts.RetentionMonths > 0 {
-		dev.PreAge(opts.PE, opts.RetentionMonths)
-		dev.SetReadJitterProb(0.5) // aged devices see environmental drift
-	}
-	if tweak != nil {
-		tweak(dev)
-	}
-	ctrlCfg := ftl.DefaultControllerConfig()
-	ctrlCfg.WriteBufferPages = opts.BufferPages
-	ctrlCfg.RetryMode = rs.Mode
-	pol := factory(dev)
-	if cube, ok := pol.(*core.CubeFTL); ok {
-		cube.ApplyRetrySetup(rs)
-		cube.SetAgeBucket(core.AgeBucketFor(opts.RetentionMonths))
-	}
-	ctrl := ftl.NewController(dev, pol, ctrlCfg)
-
-	gen := workload.NewStream(prof, ctrl.LogicalPages(), opts.Seed+0xABCD)
+	ctrl := s.Ctrl
+	gen := workload.NewStream(prof, ctrl.LogicalPages(), sp.Seed+0xABCD)
 	workload.Prefill(ctrl, gen.Footprint())
 	ctrl.ResetStats()
 
 	res := workload.Run(ctrl, gen, workload.RunConfig{Requests: opts.Requests, QueueDepth: opts.QueueDepth})
 	st := ctrl.Stats()
 	return RunOutcome{
-		Workload:      prof.Name,
-		Result:        res,
-		MeanTPROGNs:   st.MeanTPROGNs(),
-		ReadRetries:   st.ReadRetries,
-		GCCount:       st.GCCount,
-		Reprograms:    st.Reprograms,
-		HostReads:     st.HostReads,
-		HostWrites:    st.HostWrites,
-		BufferHits:    st.BufferHits,
-		Uncorrectable: st.Uncorrectable,
-		Faults:        st.FaultCounters(),
-		Degraded:      ctrl.Degraded(),
+		Workload:        prof.Name,
+		Result:          res,
+		MeanTPROGNs:     st.MeanTPROGNs(),
+		ReadRetries:     st.ReadRetries,
+		GCCount:         st.GCCount,
+		Reprograms:      st.Reprograms,
+		HostReads:       st.HostReads,
+		HostWrites:      st.HostWrites,
+		BufferHits:      st.BufferHits,
+		Uncorrectable:   st.Uncorrectable,
+		ProgramFailures: st.ProgramFailures,
+		EraseFailures:   st.EraseFailures,
+		RetiredBlocks:   st.RetiredBlocks,
+		FaultRecoveries: st.FaultRecoveries,
+		Degraded:        ctrl.Degraded(),
 	}
 }
 

@@ -3,9 +3,7 @@ package experiment
 import (
 	"fmt"
 
-	"cubeftl/internal/ftl"
 	"cubeftl/internal/nand"
-	"cubeftl/internal/ssd"
 	"cubeftl/internal/workload"
 )
 
@@ -30,24 +28,18 @@ type ExtFaultResult struct {
 func ExtFaultTolerance(opts SSDOpts) *ExtFaultResult {
 	res := &ExtFaultResult{}
 	for _, rate := range []float64{0, 1e-4, 1e-3, 5e-3} {
-		faults := nand.FaultConfig{
+		sp := opts.spec(PolicyCube)
+		sp.Faults = nand.FaultConfig{
 			ProgramFailRate: rate,
 			EraseFailRate:   rate / 10,
 		}
-		out := RunCustom(func(dev *ssd.Device) ftl.Policy {
-			return makePolicy(PolicyCube, dev.Geometry())
-		}, workload.OLTP, opts, func(dev *ssd.Device) {
-			if faults.Enabled() {
-				dev.SetFaults(faults)
-			}
-		})
+		out := RunCustom(sp, workload.OLTP, opts)
 		res.Labels = append(res.Labels, fmt.Sprintf("pfail %.0e / efail %.0e", rate, rate/10))
 		res.IOPS = append(res.IOPS, out.IOPS())
 		res.WriteP99 = append(res.WriteP99, out.Result.WriteLat.Percentile(99))
-		res.Retired = append(res.Retired, out.Faults.Get("RetiredBlocks"))
-		res.Failures = append(res.Failures,
-			out.Faults.Get("ProgramFailures")+out.Faults.Get("EraseFailures"))
-		res.Recovered = append(res.Recovered, out.Faults.Get("FaultRecoveries"))
+		res.Retired = append(res.Retired, out.RetiredBlocks)
+		res.Failures = append(res.Failures, out.ProgramFailures+out.EraseFailures)
+		res.Recovered = append(res.Recovered, out.FaultRecoveries)
 		res.Degraded = append(res.Degraded, out.Degraded)
 	}
 	return res

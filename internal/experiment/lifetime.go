@@ -4,10 +4,8 @@ import (
 	"fmt"
 
 	"cubeftl/internal/core"
-	"cubeftl/internal/ftl"
 	"cubeftl/internal/lifetime"
-	"cubeftl/internal/sim"
-	"cubeftl/internal/ssd"
+	"cubeftl/internal/stack"
 	"cubeftl/internal/workload"
 )
 
@@ -57,48 +55,27 @@ type ExtLifetimeResult struct {
 // across age points so translation state, wear, and bad blocks carry
 // forward the way a real device's do.
 type agedDevice struct {
-	eng  *sim.Engine
-	dev  *ssd.Device
-	ctrl *ftl.Controller
-	cube *core.CubeFTL
+	*stack.Stack
 	ager *lifetime.Ager
 
 	refresh bool
 }
 
 func newAgedDevice(opts SSDOpts, combo LifetimeCombo) *agedDevice {
-	rs, err := core.RetrySetupFor(opts.RetryMode)
+	st, err := stack.Build(stack.Spec{
+		Flavor:           string(PolicyCube),
+		BlocksPerChip:    opts.BlocksPerChip,
+		Seed:             opts.Seed,
+		RetryMode:        opts.RetryMode,
+		WriteBufferPages: opts.BufferPages,
+		Refresh:          combo.Refresh,
+		WearLevel:        combo.WearLevel,
+	})
 	if err != nil {
 		panic(err) // experiment drivers hard-code the mode names
 	}
-	eng := sim.NewEngine()
-	devCfg := ssd.DefaultConfig()
-	devCfg.Chip.Process.BlocksPerChip = opts.BlocksPerChip
-	devCfg.Seed = opts.Seed
-	devCfg.Chip.DecodeLatencyNs = rs.DecodeNs
-	dev := ssd.New(eng, devCfg)
-
-	cube := core.New(dev.Geometry())
-	cube.ApplyRetrySetup(rs)
-	// Retry offsets follow each block's own retention clock: aging moves
-	// blocks between age buckets at different times.
-	cube.SetAgeBucketFn(func(chip, block int) int {
-		return core.AgeBucketFor(dev.Chip(chip).NAND.EffectiveRetentionMonths(block))
-	})
-
-	ctrlCfg := ftl.DefaultControllerConfig()
-	ctrlCfg.WriteBufferPages = opts.BufferPages
-	ctrlCfg.RetryMode = rs.Mode
-	ctrlCfg.Refresh = combo.Refresh
-	ctrlCfg.WearLevel = combo.WearLevel
-	ctrlCfg.WearAware = ctrlCfg.WearAware || combo.WearLevel
-	ctrl := ftl.NewController(dev, cube, ctrlCfg)
-
 	return &agedDevice{
-		eng:     eng,
-		dev:     dev,
-		ctrl:    ctrl,
-		cube:    cube,
+		Stack:   st,
 		ager:    lifetime.NewAger(lifetime.Config{Seed: opts.Seed}),
 		refresh: combo.Refresh,
 	}
@@ -107,24 +84,24 @@ func newAgedDevice(opts SSDOpts, combo LifetimeCombo) *agedDevice {
 // drain runs the engine until background relocations (grown-bad
 // evacuations, refresh, wear leveling) settle.
 func (d *agedDevice) drain() {
-	d.eng.RunWhile(func() bool { return !d.ctrl.Drained() || d.ctrl.GCActiveAny() })
+	d.Eng.RunWhile(func() bool { return !d.Ctrl.Drained() || d.Ctrl.GCActiveAny() })
 }
 
 // age fast-forwards the device and, when refresh is on, scrubs it back
 // to health: sweeps repeat because refresh churn retires open write
 // points that a single pass must skip.
 func (d *agedDevice) age(months float64) lifetime.Report {
-	rep := d.ager.FastForward(d.dev.Array(), months, core.AgeBucketFor, lifetime.Hooks{
-		GrowBad: d.ctrl.GrowBadBlock,
+	rep := d.ager.FastForward(d.Dev.Array(), months, core.AgeBucketFor, lifetime.Hooks{
+		GrowBad: d.Ctrl.GrowBadBlock,
 		BucketJump: func(die, block, _, _ int) {
-			d.cube.InvalidateBlockRetry(die, block)
+			d.Cube.InvalidateBlockRetry(die, block)
 		},
 	})
-	d.dev.SetReadJitterProb(0.5) // aged devices see environmental drift
+	d.Dev.SetReadJitterProb(0.5) // aged devices see environmental drift
 	d.drain()
 	if d.refresh {
 		for i := 0; i < 8; i++ {
-			if d.ctrl.ScrubSweep() == 0 {
+			if d.Ctrl.ScrubSweep() == 0 {
 				break
 			}
 			d.drain()
@@ -136,14 +113,14 @@ func (d *agedDevice) age(months float64) lifetime.Report {
 // prefill seeds the device with the workload's footprint so there is
 // data at rest for retention aging to act on.
 func (d *agedDevice) prefill(opts SSDOpts) {
-	gen := workload.NewStream(workload.Rocks, d.ctrl.LogicalPages(), opts.Seed+0xABCD)
-	workload.Prefill(d.ctrl, gen.Footprint())
+	gen := workload.NewStream(workload.Rocks, d.Ctrl.LogicalPages(), opts.Seed+0xABCD)
+	workload.Prefill(d.Ctrl, gen.Footprint())
 }
 
 // measure runs the workload and returns the host-visible result.
 func (d *agedDevice) measure(opts SSDOpts) workload.Result {
-	gen := workload.NewStream(workload.Rocks, d.ctrl.LogicalPages(), opts.Seed+0xABCD)
-	return workload.Run(d.ctrl, gen, workload.RunConfig{
+	gen := workload.NewStream(workload.Rocks, d.Ctrl.LogicalPages(), opts.Seed+0xABCD)
+	return workload.Run(d.Ctrl, gen, workload.RunConfig{
 		Requests: opts.Requests, QueueDepth: opts.QueueDepth,
 	})
 }
@@ -162,15 +139,15 @@ func ExtLifetime(opts SSDOpts) *ExtLifetimeResult {
 		var grown, spread []int
 		prev := 0.0
 		for _, age := range res.AgesMonths {
-			d.ctrl.ResetStats()
+			d.Ctrl.ResetStats()
 			if age > prev {
 				d.age(age - prev)
 				prev = age
 			}
 			r := d.measure(opts)
-			st := d.ctrl.Stats()
-			waf := d.ctrl.WAF()
-			lo, hi := d.ctrl.WearSpread()
+			st := d.Ctrl.Stats()
+			waf := d.Ctrl.WAF()
+			lo, hi := d.Ctrl.WearSpread()
 
 			iops = append(iops, r.IOPS())
 			p99s = append(p99s, r.ReadLat.Percentile(99))

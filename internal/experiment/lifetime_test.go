@@ -19,21 +19,21 @@ func TestLifetimeSmoke(t *testing.T) {
 
 	d.prefill(opts)
 
-	d.ctrl.ResetStats()
+	d.Ctrl.ResetStats()
 	fresh := d.measure(opts)
 	freshP99 := fresh.ReadLat.Percentile(99)
 	if freshP99 <= 0 {
 		t.Fatalf("fresh read p99 = %d", freshP99)
 	}
 
-	d.ctrl.ResetStats()
+	d.Ctrl.ResetStats()
 	rep := d.age(36)
 	if rep.PEAdded == 0 {
 		t.Fatal("fast-forward added no wear")
 	}
 	aged := d.measure(opts)
 	agedP99 := aged.ReadLat.Percentile(99)
-	st := d.ctrl.Stats()
+	st := d.Ctrl.Stats()
 
 	if agedP99 > 2*freshP99 {
 		t.Errorf("aged read p99 %.3fms > 2x fresh %.3fms",
@@ -57,10 +57,10 @@ func TestLifetimeDeterministic(t *testing.T) {
 		d := newAgedDevice(opts, LifetimeCombos[0])
 		d.prefill(opts)
 		d.age(24)
-		d.ctrl.ResetStats()
+		d.Ctrl.ResetStats()
 		r := d.measure(opts)
-		lo, hi := d.ctrl.WearSpread()
-		return r.ReadLat.Percentile(99), d.ctrl.Stats().ReadRetries, d.ctrl.WAF().Factor(), hi - lo
+		lo, hi := d.Ctrl.WearSpread()
+		return r.ReadLat.Percentile(99), d.Ctrl.Stats().ReadRetries, d.Ctrl.WAF().Factor(), hi - lo
 	}
 	p99a, retA, wafA, sprA := run()
 	p99b, retB, wafB, sprB := run()

@@ -3,10 +3,9 @@ package experiment
 import (
 	"fmt"
 
-	"cubeftl/internal/ftl"
 	"cubeftl/internal/host"
 	"cubeftl/internal/sim"
-	"cubeftl/internal/ssd"
+	"cubeftl/internal/stack"
 	"cubeftl/internal/workload"
 )
 
@@ -60,14 +59,16 @@ func ExtQoS(opts SSDOpts) *QoSResult {
 		{"wrr 8:1", host.NewWeightedRoundRobin(), 8, 0},
 		{"prio+guard", host.NewStrictPriority(qosGuardNs), 1, 5},
 	} {
-		eng := sim.NewEngine()
-		devCfg := ssd.DefaultConfig()
-		devCfg.Chip.Process.BlocksPerChip = opts.BlocksPerChip
-		devCfg.Seed = opts.Seed
-		dev := ssd.New(eng, devCfg)
-		ctrlCfg := ftl.DefaultControllerConfig()
-		ctrlCfg.WriteBufferPages = opts.BufferPages
-		ctrl := ftl.NewController(dev, ftl.NewPagePolicy(), ctrlCfg)
+		st, err := stack.Build(stack.Spec{
+			Flavor:           string(PolicyPage),
+			BlocksPerChip:    opts.BlocksPerChip,
+			Seed:             opts.Seed,
+			WriteBufferPages: opts.BufferPages,
+		})
+		if err != nil {
+			panic(err) // a hard-coded spec
+		}
+		ctrl := st.Ctrl
 		workload.Prefill(ctrl, int64(ctrl.LogicalPages())*6/10)
 		ctrl.ResetStats()
 

@@ -4,27 +4,13 @@ import (
 	"fmt"
 
 	"cubeftl/internal/cache"
-	"cubeftl/internal/core"
 	"cubeftl/internal/ftl"
 	"cubeftl/internal/host"
 	"cubeftl/internal/metrics"
 	"cubeftl/internal/sim"
-	"cubeftl/internal/ssd"
+	"cubeftl/internal/stack"
 	"cubeftl/internal/workload"
 )
-
-// policyByName maps a flavor name to an FTL policy instance.
-func policyByName(name string, geo ssd.Geometry) (ftl.Policy, error) {
-	switch name {
-	case "", "cube", "cubeFTL":
-		return core.New(geo), nil
-	case "page", "pageFTL":
-		return ftl.NewPagePolicy(), nil
-	case "vert", "vertFTL":
-		return ftl.NewVertPolicy(), nil
-	}
-	return nil, fmt.Errorf("%w: %q (want cube|page|vert)", ErrBadPolicy, name)
-}
 
 // shardRunner replays one shard's requests on its private engine. It
 // interposes the host cache in front of the multi-queue interface:
@@ -60,28 +46,22 @@ type shardRunner struct {
 // runShard builds one complete device stack and replays the shard's
 // request slice to completion.
 func runShard(cfg Config, spec *shardSpec) (ShardResult, error) {
-	eng := sim.NewEngine()
-	devCfg := ssd.DefaultConfig()
-	devCfg.Seed = spec.seed
-	devCfg.Chip.Process.BlocksPerChip = spec.blocksPerChip
-	if cfg.Channels > 0 {
-		devCfg.Channels = cfg.Channels
-	}
-	if cfg.DiesPerChannel > 0 {
-		devCfg.DiesPerChannel = cfg.DiesPerChannel
-	}
-	dev := ssd.New(eng, devCfg)
-	if spec.pe > 0 || cfg.RetentionMonths > 0 {
-		dev.PreAge(spec.pe, cfg.RetentionMonths)
-		dev.SetReadJitterProb(0.5)
-	}
-	pol, err := policyByName(cfg.Policy, dev.Geometry())
+	built, err := stack.Build(stack.Spec{
+		Flavor:           cfg.Policy,
+		Channels:         cfg.Channels,
+		DiesPerChannel:   cfg.DiesPerChannel,
+		BlocksPerChip:    spec.blocksPerChip,
+		Seed:             spec.seed,
+		PECycles:         spec.pe,
+		RetentionMonths:  cfg.RetentionMonths,
+		WriteBufferPages: cfg.BufferPages,
+	})
 	if err != nil {
-		return ShardResult{}, err
+		// The policy name is the only spec value a fleet config can get
+		// wrong.
+		return ShardResult{}, fmt.Errorf("%w: %v", ErrBadPolicy, err)
 	}
-	ctrlCfg := ftl.DefaultControllerConfig()
-	ctrlCfg.WriteBufferPages = cfg.BufferPages
-	ctrl := ftl.NewController(dev, pol, ctrlCfg)
+	eng, ctrl := built.Eng, built.Ctrl
 
 	queues := make([]host.QueueConfig, cfg.QueuesPerShard)
 	for q := range queues {

@@ -109,14 +109,15 @@ func TestConsistencyRejectsUndrained(t *testing.T) {
 	}
 }
 
-// Wear-aware allocation must spread erases across blocks far more
-// evenly than the default LIFO free pool under a hot overwrite loop.
+// Wear leveling (least-worn allocation plus cold-data migration) must
+// spread erases across blocks far more evenly than the default LIFO
+// free pool under a hot overwrite loop.
 func TestWearLeveling(t *testing.T) {
-	spread := func(wearAware bool) int {
+	spread := func(wearLevel bool) int {
 		eng, dev := testDevice(41)
 		cfg := DefaultControllerConfig()
 		cfg.WriteBufferPages = 24
-		cfg.WearAware = wearAware
+		cfg.WearLevel = wearLevel
 		c := NewController(dev, NewPagePolicy(), cfg)
 		src := rng.New(5)
 		hot := 128 // pages, far below capacity: a pathological hot set
@@ -139,9 +140,9 @@ func TestWearLeveling(t *testing.T) {
 	lifo := spread(false)
 	wear := spread(true)
 	if wear >= lifo {
-		t.Fatalf("wear-aware spread %d not better than LIFO %d", wear, lifo)
+		t.Fatalf("wear-leveled spread %d not better than LIFO %d", wear, lifo)
 	}
-	t.Logf("P/E spread: LIFO %d, wear-aware %d", lifo, wear)
+	t.Logf("P/E spread: LIFO %d, wear-leveled %d", lifo, wear)
 }
 
 // Hammering reads at one block must eventually trigger a read-disturb

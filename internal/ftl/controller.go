@@ -31,10 +31,6 @@ type ControllerConfig struct {
 	// MaxInflightProgramsPerChip bounds concurrently issued programs
 	// per chip so allocation decisions stay close to execution.
 	MaxInflightProgramsPerChip int
-	// WearAware makes the free-block allocator pick the least-worn
-	// erased block instead of the most recently freed one, spreading
-	// P/E cycles across the chip (static wear leveling).
-	WearAware bool
 	// VerifyData enables the end-to-end integrity oracle: synthesized
 	// tagged payloads flow through flush, GC relocation, and read-back
 	// verification. Requires chips built with nand.Config.StoreData.
@@ -65,11 +61,12 @@ type ControllerConfig struct {
 	// step (the scrubber's rate limit, so it yields to tenant traffic).
 	// <= 0 takes the default.
 	RefreshPatrolReads int
-	// WearLevel enables static wear leveling: when a die's erase-count
-	// spread crosses the wear policy's threshold, the coldest (least
-	// worn) block's data is moved so the block rejoins the write
-	// rotation. At most one leveling move per completed GC cycle per
-	// die. Off by default.
+	// WearLevel enables static wear leveling: the free-block allocator
+	// picks the least-worn erased block instead of the most recently
+	// freed one, and when a die's erase-count spread crosses the wear
+	// policy's threshold, the coldest (least worn) block's data is moved
+	// so the block rejoins the write rotation. At most one leveling move
+	// per completed GC cycle per die. Off by default.
 	WearLevel bool
 	// WearPolicy sets the leveling threshold; the zero value takes
 	// lifetime.DefaultWearPolicy.
@@ -171,22 +168,6 @@ func (s *Stats) MeanTPROGNs() float64 {
 		return 0
 	}
 	return float64(s.ProgramNs) / float64(s.Programs)
-}
-
-// FaultCounters returns the fault-handling counters as an ordered,
-// printable set (reports and the cubesim CLI).
-func (s *Stats) FaultCounters() *metrics.CounterSet {
-	cs := metrics.NewCounterSet()
-	cs.Add("ProgramFailures", s.ProgramFailures)
-	cs.Add("EraseFailures", s.EraseFailures)
-	cs.Add("ReadFaults", s.ReadFaults)
-	cs.Add("RetiredBlocks", s.RetiredBlocks)
-	cs.Add("FactoryBadBlocks", s.FactoryBadBlocks)
-	cs.Add("FaultRecoveries", s.FaultRecoveries)
-	cs.Add("WriteRejects", s.WriteRejects)
-	cs.Add("DegradedDies", s.DegradedDies)
-	cs.Add("FencedPrograms", s.FencedPrograms)
-	return cs
 }
 
 // Controller is the host-facing FTL datapath: write buffering, page
@@ -541,7 +522,7 @@ func (c *Controller) takeFreeBlock(chip int) (*BlockCursor, bool) {
 		return nil, false
 	}
 	idx := len(pool) - 1
-	if c.cfg.WearAware {
+	if c.cfg.WearLevel {
 		nand := c.dev.Chip(chip).NAND
 		best := nand.PECycles(pool[idx])
 		for i, b := range pool[:idx] {
@@ -780,7 +761,7 @@ func (c *Controller) kickRefresh(chip int) {
 // maybeWearLevel runs static wear leveling on a chip: when the die's
 // erase-count spread crosses the policy threshold, the coldest
 // (least-worn) data block is relocated so its low-wear block rejoins
-// the rotation (the wear-aware allocator then prefers it). Rate
+// the rotation (least-worn allocation then prefers it). Rate
 // limited to one move per completed GC cycle per die.
 func (c *Controller) maybeWearLevel(chip int) {
 	if !c.cfg.WearLevel || c.gcActive[chip] || c.dieDegraded[chip] || len(c.freeBlocks[chip]) <= 1 {

@@ -10,6 +10,7 @@ package metrics
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 )
 
@@ -151,7 +152,7 @@ func bucketOf(v int64) int {
 	if v < (1 << minorBits) {
 		return int(v)
 	}
-	exp := 63 - leadingZeros(uint64(v))
+	exp := 63 - bits.LeadingZeros64(uint64(v))
 	minor := (v >> (uint(exp) - minorBits)) & ((1 << minorBits) - 1)
 	return int(exp-minorBits+1)<<minorBits + int(minor)
 }
@@ -165,14 +166,6 @@ func bucketValue(i int) int64 {
 	major := i>>minorBits + minorBits - 1
 	minor := i & ((1 << minorBits) - 1)
 	return (1 << uint(major)) | int64(minor)<<(uint(major)-minorBits)
-}
-
-func leadingZeros(v uint64) int {
-	n := 0
-	for ; v&(1<<63) == 0 && n < 64; n++ {
-		v <<= 1
-	}
-	return n
 }
 
 // Merge folds o's samples into h without modifying o, as if every

@@ -44,7 +44,7 @@ func (s *SSD) Age(d time.Duration) AgeReport {
 // AgeMonths is Age with the device's native retention unit.
 func (s *SSD) AgeMonths(months float64) AgeReport {
 	if s.ager == nil {
-		s.ager = lifetime.NewAger(lifetime.Config{Seed: s.opts.Seed})
+		s.ager = lifetime.NewAger(lifetime.Config{Seed: s.spec.Seed})
 	}
 	hooks := lifetime.Hooks{GrowBad: s.ctrl.GrowBadBlock}
 	if s.cube != nil {
@@ -64,7 +64,7 @@ func (s *SSD) AgeMonths(months float64) AgeReport {
 		MaxPE:          rep.MaxPE,
 	}
 	s.drainRelocations() // settle grown-bad evacuations first
-	if s.ctrlCfg.Refresh {
+	if s.spec.Refresh {
 		// Sweep until clean. A block serving as an open write point is
 		// excluded from a sweep (an active cursor cannot relocate), but
 		// refresh churn fills and retires open blocks, so data written

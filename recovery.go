@@ -14,7 +14,7 @@ import (
 	"cubeftl/internal/host"
 	"cubeftl/internal/recovery"
 	"cubeftl/internal/sim"
-	"cubeftl/internal/ssd"
+	"cubeftl/internal/stack"
 	"cubeftl/internal/workload"
 )
 
@@ -100,15 +100,13 @@ func (s *SSD) Remount(verify, fullScan bool) (MountReport, error) {
 	if s.mgr == nil {
 		return MountReport{}, ErrRecoveryOff
 	}
-	eng := sim.NewEngine()
 	// The NAND array is the durable medium: data, OOB, wear, grown bad
 	// blocks, and fault-injection streams all live there and carry over.
-	dev := ssd.NewWithArray(eng, s.dev.Config(), s.dev.Array())
-	pol, cube, err := newPolicy(s.opts, dev)
+	p, err := stack.Assemble(s.spec, s.dev.Array())
 	if err != nil {
 		return MountReport{}, err
 	}
-	ctrl, rpt, err := recovery.Mount(dev, pol, s.ctrlCfg, s.mgr.System(), recovery.MountOptions{
+	ctrl, rpt, err := recovery.Mount(p.Dev, p.Policy, p.Config, s.mgr.System(), recovery.MountOptions{
 		ForceFullScan: fullScan,
 	})
 	if err != nil {
@@ -133,11 +131,11 @@ func (s *SSD) Remount(verify, fullScan bool) (MountReport, error) {
 		}
 		out.Verified = true
 	}
-	s.eng, s.dev, s.ctrl, s.cube = eng, dev, ctrl, cube
+	s.eng, s.dev, s.ctrl, s.cube = p.Eng, p.Dev, ctrl, p.Cube
 	s.hub, s.sampler = nil, nil
 	s.outstanding = 0
 	s.mgr = recovery.Attach(ctrl, s.mgr.System(), recovery.Options{
-		CkptIntervalNs: sim.Time(s.opts.CkptInterval),
+		CkptIntervalNs: sim.Time(s.ckptInterval),
 		Ledger:         s.mgr.Ledger(),
 	})
 	return out, nil

@@ -49,7 +49,7 @@ func TestRunTraceValidation(t *testing.T) {
 func TestSuspendAndWearOptions(t *testing.T) {
 	opts := smallOptions(FTLCube)
 	opts.SuspendOps = true
-	opts.WearAware = true
+	opts.WearLevel = true
 	dev, err := New(opts)
 	if err != nil {
 		t.Fatal(err)
